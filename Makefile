@@ -8,7 +8,7 @@ PY_ENV = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 .PHONY: install test check bench bench-host bench-farm bench-parallel \
 	bench-engines bench-tickets bench-overload bench-events perf-gate \
 	perf-baseline lint examples smoke smoke-wallclock smoke-farm \
-	artifacts all
+	perfbench perfbench-test artifacts all
 
 install:
 	pip install -e .
@@ -80,6 +80,23 @@ perf-gate:
 # out the moved tables in the PR description.
 perf-baseline:
 	$(PY_ENV) python -m repro.tools.perfgate --record
+
+# The repository benchmark (perfbench/, declared by BENCHMARK.json): every
+# workload end to end with tracing off, one result line each.  SEED picks
+# the campaign order; perfbench/README.md explains the metrics.
+SEED ?= 1
+PERFBENCH_WORKLOADS = handshake_1k bulk_3des overload_farm
+
+perfbench:
+	for w in $(PERFBENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed $(SEED) \
+			--seconds 25 --trace 0 || exit 1; \
+	done
+
+# The benchmark's own tests (tracer attribution, recorded digests, the
+# result-line contract); CI runs them in the perfbench job.
+perfbench-test:
+	python3 -m pytest perfbench/tests -q
 
 # Mirrors CI's lint job.  ruff is optional locally (the container image
 # may not carry it); compileall is the no-dependency floor.

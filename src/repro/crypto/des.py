@@ -4,11 +4,25 @@ The paper decomposes a DES block operation into initial permutation,
 16 substitution rounds, and final permutation, measuring the substitution
 part at 74.7% (DES) and 89.1% (3DES, which runs 3x16 rounds between a single
 IP/FP pair) -- Table 6.  Each round XORs the right half with a subkey and
-performs eight 6-bit-indexed table lookups (Table 4), which is how this
-implementation executes it: the S-boxes are precomputed fused with the P
-permutation (OpenSSL's ``DES_SPtrans`` idea), and the wide bit permutations
-(IP, FP, E, PC-1, PC-2) are applied via byte-indexed mask tables built once
-from the FIPS tables.
+performs eight 6-bit-indexed table lookups (Table 4), and the modeled
+charges follow that structure whatever the host executes.
+
+The faithful backend (``REPRO_FASTPATH=0``) executes it literally: E via
+byte-indexed mask tables, the subkey XOR, and eight lookups into S-boxes
+fused with the P permutation (OpenSSL's ``DES_SPtrans`` idea).  The wide
+bit permutations (IP, FP, E, PC-1, PC-2) are byte-indexed mask tables
+built once from the FIPS tables.
+
+The fast backend computes the same bits with no E step.  Inside it each
+32-bit half is held rotated right by one bit, with its low 12 bits copied
+again into bits 32-43 (:func:`_spread`); in that layout every S-box's 6-bit
+E window is a contiguous slice.  E is therefore folded into the key: each
+48-bit subkey is split once, at key-schedule time, into two words whose
+6-bit chunks sit on those windows (:func:`_split_subkey`).  Four
+14-bit-indexed tables each fuse two S-boxes with P, stored in the same
+layout (:func:`_pair_table`).  A round is then two XORs and four lookups,
+and one generated straight-line function runs a whole block, all 48 rounds
+of a 3DES EDE pass included (:func:`_build_kernel`).
 """
 
 from __future__ import annotations
@@ -274,77 +288,193 @@ def _feistel(r: int, subkey: int) -> int:
             ^ sp[6][(x >> 6) & 0x3F] ^ sp[7][x & 0x3F])
 
 
-def _build_rounds_fast():
-    """Generate a fully unrolled 16-round Feistel pass (the fast backend).
-
-    The E and SP tables are bound into the function's globals, the 16
-    subkeys unpack into locals, and each round XORs the inlined round
-    function into the opposite half (role names alternate instead of
-    swapping values).  Bit-identical to :func:`_rounds` by construction.
-    """
-    lines = [
-        "def _rounds_unrolled(l, r, subkeys):",
-        "    " + ", ".join(f"k{i}" for i in range(16)) + " = subkeys",
-    ]
-    names = ["l", "r"]
-    for i in range(16):
-        L, R = names
-        lines.append(f"    x = (e0[({R} >> 24) & 0xFF]"
-                     f" | e1[({R} >> 16) & 0xFF]"
-                     f" | e2[({R} >> 8) & 0xFF]"
-                     f" | e3[{R} & 0xFF]) ^ k{i}")
-        lines.append(f"    {L} ^= (sp0[(x >> 42) & 0x3F]"
-                     f" ^ sp1[(x >> 36) & 0x3F]"
-                     f" ^ sp2[(x >> 30) & 0x3F]"
-                     f" ^ sp3[(x >> 24) & 0x3F]"
-                     f" ^ sp4[(x >> 18) & 0x3F]"
-                     f" ^ sp5[(x >> 12) & 0x3F]"
-                     f" ^ sp6[(x >> 6) & 0x3F]"
-                     f" ^ sp7[x & 0x3F])")
-        names.reverse()
-    lines.append(f"    return {names[0]}, {names[1]}")
-    namespace = {
-        "e0": _E_T[0], "e1": _E_T[1], "e2": _E_T[2], "e3": _E_T[3],
-        **{f"sp{i}": _SP[i] for i in range(8)},
-    }
-    exec(compile("\n".join(lines), "<des-fastpath>", "exec"), namespace)
-    return namespace["_rounds_unrolled"]
-
-
-_rounds_fast = _build_rounds_fast()
-
-
-def _build_perm_fast(tables: List[List[int]], in_bits: int):
-    """Generate an unrolled wide-permutation lookup (one OR chain)."""
-    shifts = list(range(in_bits - 8, -1, -8))
-    expr = " | ".join(
-        f"t{i}[(v >> {s}) & 0xFF]" if s else f"t{i}[v & 0xFF]"
-        for i, s in enumerate(shifts))
-    lines = [f"def _perm(v):", f"    return {expr}"]
-    namespace = {f"t{i}": tables[i] for i in range(len(tables))}
-    exec(compile("\n".join(lines), "<des-perm-fastpath>", "exec"), namespace)
-    return namespace["_perm"]
-
-
-_ip_fast = _build_perm_fast(_IP_T, 64)
-_fp_fast = _build_perm_fast(_FP_T, 64)
-
-
 def _rounds(l: int, r: int, subkeys: Sequence[int]) -> Tuple[int, int]:
-    if fastpath_enabled():
-        return _rounds_fast(l, r, subkeys)
+    """The faithful 16-round Feistel loop."""
     for k in subkeys:
         l, r = r, l ^ _feistel(r, k)
     return l, r
 
 
-class DES:
+def _crypt_reference(v: int, schedules: Sequence[Sequence[int]]) -> int:
+    """The faithful block operation (the ``REPRO_FASTPATH=0`` backend).
+
+    IP, 16 rounds per schedule, FP.  Every stage ends with DES's final
+    swap; between 3DES stages that swap stands in for FP followed by the
+    next stage's IP, which cancel.
+    """
+    v = _apply_perm(_IP_T, v, 64)
+    l, r = (v >> 32) & _M32, v & _M32
+    for subkeys in schedules:
+        l, r = _rounds(l, r, subkeys)
+        l, r = r, l
+    return _apply_perm(_FP_T, (l << 32) | r, 64)
+
+
+# ---------------------------------------------------------------------------
+# Fast path: the E-free pair-table kernel
+# ---------------------------------------------------------------------------
+
+def _spread(h: int) -> int:
+    """A 32-bit half in the fast kernel's layout.
+
+    ``h`` rotated right by one bit, with the low 12 bits of that copied
+    again into bits 32-43.  E's window for S-box ``j + 1`` covers FIPS
+    bits ``4j`` to ``4j + 5`` of ``h``, bit 0 meaning bit 32, so the S1 and
+    S8 windows wrap.  In this layout each window is one contiguous 6-bit
+    slice: S1..S7 at bit ``26 - 4j`` and S8 at bit 30, reaching into the
+    copy.  The kernel reads S6 from its copy at bit 38.
+    """
+    h = ((h >> 1) | (h << 31)) & _M32
+    return h | (h & 0xFFF) << 32
+
+
+def _split_subkey(k: int) -> Tuple[int, int]:
+    """Fold E into a 48-bit subkey.
+
+    Returns ``(ku, kt)``: ``ku`` holds the S1/S3/S5/S7 chunks at bits
+    26/18/10/2 and ``kt`` the S2/S4/S6/S8 chunks at bits 22/14/38/30, the
+    E windows of a spread half, so ``spread(R) ^ ku`` and ``spread(R) ^ kt``
+    carry all eight S-box inputs.  (Chunk ``j`` sits at bit ``42 - 6j`` of
+    ``k``; each term moves one chunk.)
+    """
+    ku = ((k >> 16) & 0xFC000000 | (k >> 12) & 0xFC0000
+          | (k >> 8) & 0xFC00 | (k >> 4) & 0xFC)
+    kt = ((k >> 14) & 0xFC00000 | (k >> 10) & 0xFC000
+          | (k << 26) & 0xFC000000000 | (k << 30) & 0xFC0000000)
+    return ku, kt
+
+
+def _flat_keys(*stages: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
+    """The fast kernel's key argument: every round's (ku, kt), in order."""
+    return tuple(w for stage in stages for pair in stage for w in pair)
+
+
+def _pair_table(hi: int, lo: int) -> List[int]:
+    """``SP[hi] ^ SP[lo]`` indexed by 14 bits, stored spread.
+
+    Index bits 8-13 are S-box ``hi``'s input and bits 0-5 S-box ``lo``'s;
+    bits 6-7 fall between the two windows and never change an entry, so
+    the 4096 distinct values are each shared by four indices.
+    Because the entries are spread, XORing one into a spread half keeps
+    the layout.
+    """
+    a, b = _SP[hi], _SP[lo]
+    pairs = [_spread(a[x] ^ b[y]) for x in range(64) for y in range(64)]
+    return [pairs[(i >> 2) & 0xFC0 | i & 0x3F] for i in range(1 << 14)]
+
+
+#: S1|S3, S5|S7, S2|S4 and S6|S8, in the order _build_kernel indexes them.
+_PAIR_TABLES = (_pair_table(0, 2), _pair_table(4, 6),
+                _pair_table(1, 3), _pair_table(5, 7))
+
+
+def _rotate_halves(perm: Sequence[int]) -> Tuple[int, ...]:
+    """``perm`` followed by rotating each 32-bit output half right by one."""
+    return tuple(perm[o + (j - 1) % 32] for o in (0, 32) for j in range(32))
+
+
+def _unrotate_halves(perm: Sequence[int]) -> Tuple[int, ...]:
+    """``perm`` for input whose 32-bit halves arrive rotated right by one:
+    input bit ``src`` then sits one place further right in its half, and
+    a half's last bit wraps to its first."""
+    return tuple(src + 1 if src % 32 else src - 31 for src in perm)
+
+
+def _build_kernel(stages: int):
+    """Generate the fast block operation for 1 (DES) or 3 (3DES EDE) stages.
+
+    ``kernel(block, keys)`` maps an 8-byte block to the 64-bit output in
+    one straight-line function: IP, 16 rounds per stage, FP.  ``keys`` is
+    the flat (ku, kt) sequence of every round (:func:`_flat_keys`).
+
+    The halves live in the spread layout (:func:`_spread`): rotated right
+    by one bit and partly duplicated, so every S-box's E window is a
+    contiguous slice and E itself is folded into the subkeys
+    (:func:`_split_subkey`).  IP's byte tables are composed with the
+    rotation, so entering the layout only duplicates each half's low 12
+    bits; FP's byte tables read the rotated halves directly.  A round is
+    two XORs and four pair-table lookups (:data:`_PAIR_TABLES`)::
+
+        u = R ^ ku;  t = R ^ kt
+        L ^= A[(u >> 18) & 0x3FFF] ^ B[(u >> 2) & 0x3FFF]
+              ^ C[(t >> 14) & 0x3FFF] ^ D[t >> 30]
+
+    ``t >> 30`` needs no mask because the layout ends at bit 43.  The
+    entries are spread values, so ``L`` stays in the layout.  The Feistel
+    swap is a renaming of the two halves, and so is the swap that ends each
+    stage, which makes the 3DES stage boundaries free.  Bit-identical to
+    :func:`_crypt_reference`.
+    """
+    ip = _build_perm_tables(_rotate_halves(_IP), 64)
+    fp = _build_perm_tables(_unrotate_halves(_FP), 64)
+    rounds = 16 * stages
+    lines = [
+        "def _kernel(block, keys):",
+        "    " + ", ".join(f"ku{i}, kt{i}" for i in range(rounds)) + " = keys",
+        "    " + ", ".join(f"b{i}" for i in range(8)) + " = block",
+        "    v = " + " | ".join(f"ip{i}[b{i}]" for i in range(8)),
+        "    l = v >> 32",
+        "    l |= (l & 0xFFF) << 32",
+        "    r = v & 0xFFFFFFFF",
+        "    r |= (r & 0xFFF) << 32",
+    ]
+    names = ["l", "r"]
+    for i in range(rounds):
+        L, R = names
+        lines.append(f"    u = {R} ^ ku{i}")
+        lines.append(f"    t = {R} ^ kt{i}")
+        lines.append(f"    {L} ^= (A[(u >> 18) & 0x3FFF] ^ B[(u >> 2) & 0x3FFF]"
+                     f" ^ C[(t >> 14) & 0x3FFF] ^ D[t >> 30])")
+        names.reverse()          # the Feistel swap
+        if i % 16 == 15:
+            names.reverse()      # the swap that ends a stage
+    hi, lo = names
+    lines.append("    return (" + " | ".join(
+        f"fp{4 * half + i}[({name} >> {24 - 8 * i}) & 0xFF]"
+        for half, name in enumerate((hi, lo)) for i in range(4)) + ")")
+    namespace = {
+        **dict(zip("ABCD", _PAIR_TABLES)),
+        **{f"ip{i}": t for i, t in enumerate(ip)},
+        **{f"fp{i}": t for i, t in enumerate(fp)},
+    }
+    exec(compile("\n".join(lines), "<des-fastpath>", "exec"), namespace)
+    return namespace["_kernel"]
+
+
+class _DesBlockOp:
+    """The block operation DES and TripleDES share: one IP/FP pair around
+    ``rounds`` substitution rounds, charged as OpenSSL's ``function``."""
+
+    block_size = 8
+    name: str
+    rounds: int
+    _function: str
+
+    def _crypt_block(self, block: bytes, schedules: Sequence[Sequence[int]],
+                     keys: Tuple[int, ...]) -> bytes:
+        if len(block) != 8:
+            raise ValueError(f"{self.name.upper()} block must be 8 bytes")
+        if fastpath_enabled():
+            out = self._kernel(block, keys)
+        else:
+            out = _crypt_reference(int.from_bytes(block, "big"), schedules)
+        function = self._function
+        charge(DES_IP, function=function, stall=DES_STALL)
+        charge(DES_ROUND, times=self.rounds, function=function,
+               stall=DES_STALL)
+        charge(DES_FP, function=function, stall=DES_STALL)
+        charge(DES_CALL, function=function)
+        return out.to_bytes(8, "big")
+
+
+class DES(_DesBlockOp):
     """Single DES on 8-byte blocks."""
 
     name = "des"
-    block_size = 8
     key_size = 8
     rounds = 16
+    _function = "DES_encrypt"
+    _kernel = staticmethod(_build_kernel(1))
 
     def __init__(self, key: bytes, check_weak: bool = False):
         if len(key) != 8:
@@ -353,38 +483,20 @@ class DES:
             raise ValueError("weak or semi-weak DES key rejected")
         self._enc_keys = _key_schedule(key)
         self._dec_keys = list(reversed(self._enc_keys))
+        split = [_split_subkey(k) for k in self._enc_keys]
+        self._enc_fast = _flat_keys(split)
+        self._dec_fast = _flat_keys(split[::-1])
         charge(DES_KS_SETUP, function="DES_set_key")
         charge(DES_KS_ROUND, times=16, function="DES_set_key")
 
-    def _crypt_block(self, block: bytes, subkeys: Sequence[int]) -> bytes:
-        if len(block) != 8:
-            raise ValueError("DES block must be 8 bytes")
-        fast = fastpath_enabled()
-        if fast:
-            v = _ip_fast(int.from_bytes(block, "big"))
-        else:
-            v = _apply_perm(_IP_T, int.from_bytes(block, "big"), 64)
-        charge(DES_IP, function="DES_encrypt", stall=DES_STALL)
-        l, r = (v >> 32) & _M32, v & _M32
-        l, r = _rounds(l, r, subkeys)
-        charge(DES_ROUND, times=16, function="DES_encrypt", stall=DES_STALL)
-        preoutput = (r << 32) | l  # final swap
-        if fast:
-            out = _fp_fast(preoutput)
-        else:
-            out = _apply_perm(_FP_T, preoutput, 64)
-        charge(DES_FP, function="DES_encrypt", stall=DES_STALL)
-        charge(DES_CALL, function="DES_encrypt")
-        return out.to_bytes(8, "big")
-
     def encrypt_block(self, block: bytes) -> bytes:
-        return self._crypt_block(block, self._enc_keys)
+        return self._crypt_block(block, (self._enc_keys,), self._enc_fast)
 
     def decrypt_block(self, block: bytes) -> bytes:
-        return self._crypt_block(block, self._dec_keys)
+        return self._crypt_block(block, (self._dec_keys,), self._dec_fast)
 
 
-class TripleDES:
+class TripleDES(_DesBlockOp):
     """3DES in EDE mode (encrypt-decrypt-encrypt with three subkeys).
 
     Mirrors OpenSSL's ``DES_encrypt3``: one IP, 3x16 rounds, one FP --
@@ -392,9 +504,10 @@ class TripleDES:
     """
 
     name = "3des"
-    block_size = 8
     key_size = 24
     rounds = 48
+    _function = "DES_encrypt3"
+    _kernel = staticmethod(_build_kernel(3))
 
     def __init__(self, key: bytes):
         if len(key) != 24:
@@ -405,37 +518,14 @@ class TripleDES:
         # EDE: encrypt with k1, decrypt with k2, encrypt with k3.
         self._enc = (k1, list(reversed(k2)), k3)
         self._dec = (list(reversed(k3)), k2, list(reversed(k1)))
+        s1, s2, s3 = ([_split_subkey(k) for k in ks] for ks in (k1, k2, k3))
+        self._enc_fast = _flat_keys(s1, s2[::-1], s3)
+        self._dec_fast = _flat_keys(s3[::-1], s2, s1[::-1])
         charge(DES_KS_SETUP, times=3, function="DES_set_key")
         charge(DES_KS_ROUND, times=48, function="DES_set_key")
 
-    def _crypt_block(self, block: bytes,
-                     schedule: Tuple[Sequence[int], ...]) -> bytes:
-        if len(block) != 8:
-            raise ValueError("3DES block must be 8 bytes")
-        fast = fastpath_enabled()
-        if fast:
-            v = _ip_fast(int.from_bytes(block, "big"))
-        else:
-            v = _apply_perm(_IP_T, int.from_bytes(block, "big"), 64)
-        charge(DES_IP, function="DES_encrypt3", stall=DES_STALL)
-        l, r = (v >> 32) & _M32, v & _M32
-        # Between stages the halves swap roles (no IP/FP in the middle).
-        l, r = _rounds(l, r, schedule[0])
-        r, l = _rounds(r, l, schedule[1])
-        l, r = _rounds(l, r, schedule[2])
-        charge(DES_ROUND, times=48, function="DES_encrypt3",
-               stall=DES_STALL)
-        preoutput = (r << 32) | l
-        if fast:
-            out = _fp_fast(preoutput)
-        else:
-            out = _apply_perm(_FP_T, preoutput, 64)
-        charge(DES_FP, function="DES_encrypt3", stall=DES_STALL)
-        charge(DES_CALL, function="DES_encrypt3")
-        return out.to_bytes(8, "big")
-
     def encrypt_block(self, block: bytes) -> bytes:
-        return self._crypt_block(block, self._enc)
+        return self._crypt_block(block, self._enc, self._enc_fast)
 
     def decrypt_block(self, block: bytes) -> bytes:
-        return self._crypt_block(block, self._dec)
+        return self._crypt_block(block, self._dec, self._dec_fast)

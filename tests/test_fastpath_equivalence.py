@@ -25,7 +25,7 @@ from repro.bignum.modexp import mod_exp
 from repro.bignum.montgomery import REDUCTION_STYLES, MontgomeryContext
 from repro.crypto import rsa
 from repro.crypto.aes import AES
-from repro.crypto.des import DES, TripleDES
+from repro.crypto.des import DES, SEMI_WEAK_KEYS, WEAK_KEYS, TripleDES
 from repro.crypto.mac import Ssl3MacContext, TlsMacContext, ssl3_mac, tls_mac
 from repro.crypto.md5 import MD5
 from repro.crypto.modes import CBC
@@ -139,20 +139,54 @@ def test_mod_exp_equivalence(style):
 # symmetric ciphers and hashes
 # ---------------------------------------------------------------------------
 
+def des_key_cases(rng: random.Random):
+    """(cipher class, key) pairs for the DES differential check.
+
+    Seeded random keys, all 4 weak and 12 semi-weak keys (a weak key makes
+    encryption an involution; a semi-weak pair inverts each other), and
+    3DES keys built from them: three-key, two-key (k1 == k3), a semi-weak
+    pair as k1/k2, and all-equal keys (3DES collapses to single DES).
+    """
+    def rand_key():
+        return bytes(rng.randrange(256) for _ in range(8))
+
+    special = WEAK_KEYS + SEMI_WEAK_KEYS
+    cases = [(DES, k) for k in special]
+    cases += [(DES, rand_key()) for _ in range(24)]
+    for i in range(0, len(SEMI_WEAK_KEYS), 2):
+        a, b = SEMI_WEAK_KEYS[i], SEMI_WEAK_KEYS[i + 1]
+        cases.append((TripleDES, a + b + a))
+        cases.append((TripleDES, a + b + rand_key()))
+    for k in special:
+        cases.append((TripleDES, k + rand_key() + k))
+        cases.append((TripleDES, k * 3))
+    for _ in range(12):
+        k1, k2 = rand_key(), rand_key()
+        cases.append((TripleDES, k1 + k2 + k1))
+        cases.append((TripleDES, k1 + k2 + rand_key()))
+    return cases
+
+
 def test_block_cipher_equivalence():
     rng = random.Random(0xC1F)
-    cases = [(AES, 16), (AES, 24), (AES, 32), (DES, 8), (TripleDES, 24)]
-    for cls, key_len in cases:
-        key = bytes(rng.randrange(256) for _ in range(key_len))
-        block = bytes(rng.randrange(256) for _ in range(cls.block_size))
+    cases = [(AES, bytes(rng.randrange(256) for _ in range(n)))
+             for n in (16, 24, 32)]
+    cases += des_key_cases(rng)
+    for cls, key in cases:
+        blocks = [bytes(rng.randrange(256) for _ in range(cls.block_size))
+                  for _ in range(4)]
 
         def workload():
             cipher = cls(key)
-            ct = cipher.encrypt_block(block)
-            return ct, cipher.decrypt_block(ct)
+            out = []
+            for block in blocks:
+                ct = cipher.encrypt_block(block)
+                out.append((ct, cipher.decrypt_block(ct),
+                            cipher.decrypt_block(block)))
+            return out
 
-        ct, pt = assert_equivalent(workload)
-        assert pt == block and ct != block
+        for block, (ct, pt, _) in zip(blocks, assert_equivalent(workload)):
+            assert pt == block
 
 
 def test_cbc_mode_equivalence():
