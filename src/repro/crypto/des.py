@@ -368,18 +368,6 @@ _PAIR_TABLES = (_pair_table(0, 2), _pair_table(4, 6),
                 _pair_table(1, 3), _pair_table(5, 7))
 
 
-def _rotate_halves(perm: Sequence[int]) -> Tuple[int, ...]:
-    """``perm`` followed by rotating each 32-bit output half right by one."""
-    return tuple(perm[o + (j - 1) % 32] for o in (0, 32) for j in range(32))
-
-
-def _unrotate_halves(perm: Sequence[int]) -> Tuple[int, ...]:
-    """``perm`` for input whose 32-bit halves arrive rotated right by one:
-    input bit ``src`` then sits one place further right in its half, and
-    a half's last bit wraps to its first."""
-    return tuple(src + 1 if src % 32 else src - 31 for src in perm)
-
-
 def _build_kernel(stages: int):
     """Generate the fast block operation for 1 (DES) or 3 (3DES EDE) stages.
 
@@ -390,10 +378,10 @@ def _build_kernel(stages: int):
     The halves live in the spread layout (:func:`_spread`): rotated right
     by one bit and partly duplicated, so every S-box's E window is a
     contiguous slice and E itself is folded into the subkeys
-    (:func:`_split_subkey`).  IP's byte tables are composed with the
-    rotation, so entering the layout only duplicates each half's low 12
-    bits; FP's byte tables read the rotated halves directly.  A round is
-    two XORs and four pair-table lookups (:data:`_PAIR_TABLES`)::
+    (:func:`_split_subkey`).  The standard IP and FP byte tables frame
+    the rounds: each half is spread after IP and rotated back, dropping
+    the copy, before FP.  A round is two XORs and four pair-table lookups
+    (:data:`_PAIR_TABLES`)::
 
         u = R ^ ku;  t = R ^ kt
         L ^= A[(u >> 18) & 0x3FFF] ^ B[(u >> 2) & 0x3FFF]
@@ -405,18 +393,14 @@ def _build_kernel(stages: int):
     stage, which makes the 3DES stage boundaries free.  Bit-identical to
     :func:`_crypt_reference`.
     """
-    ip = _build_perm_tables(_rotate_halves(_IP), 64)
-    fp = _build_perm_tables(_unrotate_halves(_FP), 64)
     rounds = 16 * stages
     lines = [
         "def _kernel(block, keys):",
         "    " + ", ".join(f"ku{i}, kt{i}" for i in range(rounds)) + " = keys",
         "    " + ", ".join(f"b{i}" for i in range(8)) + " = block",
         "    v = " + " | ".join(f"ip{i}[b{i}]" for i in range(8)),
-        "    l = v >> 32",
-        "    l |= (l & 0xFFF) << 32",
-        "    r = v & 0xFFFFFFFF",
-        "    r |= (r & 0xFFF) << 32",
+        "    l = spread(v >> 32)",
+        "    r = spread(v & 0xFFFFFFFF)",
     ]
     names = ["l", "r"]
     for i in range(rounds):
@@ -428,14 +412,18 @@ def _build_kernel(stages: int):
         names.reverse()          # the Feistel swap
         if i % 16 == 15:
             names.reverse()      # the swap that ends a stage
+    for name in names:           # rotate back, dropping the copy
+        lines.append(f"    {name} = (({name} << 1) & 0xFFFFFFFF)"
+                     f" | (({name} >> 31) & 1)")
     hi, lo = names
     lines.append("    return (" + " | ".join(
         f"fp{4 * half + i}[({name} >> {24 - 8 * i}) & 0xFF]"
         for half, name in enumerate((hi, lo)) for i in range(4)) + ")")
     namespace = {
+        "spread": _spread,
         **dict(zip("ABCD", _PAIR_TABLES)),
-        **{f"ip{i}": t for i, t in enumerate(ip)},
-        **{f"fp{i}": t for i, t in enumerate(fp)},
+        **{f"ip{i}": t for i, t in enumerate(_IP_T)},
+        **{f"fp{i}": t for i, t in enumerate(_FP_T)},
     }
     exec(compile("\n".join(lines), "<des-fastpath>", "exec"), namespace)
     return namespace["_kernel"]
