@@ -25,13 +25,13 @@ kernels of :mod:`repro.bignum.kernels`:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
-from ..perf import charge, mix
+from ..perf import LIBCRYPTO as LIB, Bill, ChargeLine, charge, mix
 from ..runtime import fastpath_enabled
 from . import kernels as K
 from .bn import WRAPPER_CALL, BigNum
-from .kernels import WORD_BITS, WORD_MASK
+from .kernels import BN_STALL as STALL, WORD_BITS, WORD_MASK
 
 #: Per-word bookkeeping inside BN_from_montgomery: load t[i], multiply by n0,
 #: mask to a word, loop control -- the reduction work that is *not* the
@@ -76,6 +76,18 @@ class MontgomeryContext:
         self._n_int = modulus.to_int()
         self._r_mask = (1 << (self.nwords * WORD_BITS)) - 1
         self._ni_int = (-pow(self._n_int, -1, self._r_mask + 1)) & self._r_mask
+        # Fast-path bills: the REDC lines, and per operand word counts the
+        # product lines followed by the REDC lines (see ``_redc_int``).
+        n = self.nwords
+        self._redc_lines: List[ChargeLine] = [
+            (K.MULADD_WORD, n * n, "bn_mul_add_words", LIB, STALL),
+            (FROM_MONT_WORD, n, "BN_from_montgomery", LIB, STALL),
+            (WRAPPER_CALL, 1.0, "BN_from_montgomery", LIB, 1.0),
+            (K.SUB_WORD, n, "bn_sub_words", LIB, 1.0),
+            (K.KERNEL_CALL, 1.0, "bn_sub_words", LIB, 1.0)]
+        self._redc_bill = Bill(self._redc_lines)
+        self._sqr_bills: Dict[int, Bill] = {}
+        self._mul_bills: Dict[Tuple[int, int], Bill] = {}
         charge(MONT_SETUP, function="BN_MONT_CTX_set")
         # RR = R^2 mod n with R = 2^(32 * nwords); via BN_div (off hot path).
         r2 = BigNum.from_int(1 << (2 * self.nwords * WORD_BITS))
@@ -101,22 +113,7 @@ class MontgomeryContext:
     def _reduce_interleaved(self, t: List[int]) -> BigNum:
         n = self.nwords
         if fastpath_enabled():
-            # Whole-operand REDC: m = (t mod R) * (-n^{-1} mod R) mod R,
-            # r = (t + m*n) / R.  Word-serial CIOS computes exactly this
-            # value (standard Montgomery equivalence), so results -- and the
-            # unconditional subtract-and-select below -- are bit-identical.
-            t_int = K.int_from_words(t)
-            m = ((t_int & self._r_mask) * self._ni_int) & self._r_mask
-            r_val = (t_int + m * self._n_int) >> (n * WORD_BITS)
-            charge(K.MULADD_WORD, times=n * n, function="bn_mul_add_words",
-                   stall=K.BN_STALL)
-            charge(FROM_MONT_WORD, times=n, function="BN_from_montgomery",
-                   stall=K.BN_STALL)
-            charge(WRAPPER_CALL, function="BN_from_montgomery")
-            charge(K.SUB_WORD, times=n, function="bn_sub_words")
-            charge(K.KERNEL_CALL, function="bn_sub_words")
-            if r_val >= self._n_int:
-                r_val -= self._n_int
+            r_val = self._redc_int(K.int_from_words(t))
             return BigNum(K.words_from_int(r_val, n))
         need = 2 * n + 1
         if len(t) < need:
@@ -177,25 +174,24 @@ class MontgomeryContext:
     # -- native-int fast path ---------------------------------------------------
     # These operate on Python ints end to end: the double-width product never
     # becomes a word array, skipping the pack/unpack round trips that
-    # ``BigNum.mul``/``BigNum.sqr`` + ``_reduce`` would perform.  Every charge
-    # is the exact sequence (mixes, times, order) the faithful word-array path
-    # emits: each one is determined by operand word counts, and for a trimmed
-    # BigNum ``len(d) == ceil(bit_length / 32)``, so computing the counts from
+    # ``BigNum.mul``/``BigNum.sqr`` + ``_reduce`` would perform.  Each call
+    # charges one bill holding the exact lines (mixes, times, order) the
+    # faithful word-array path charges one by one: every line is determined
+    # by operand word counts, and for a trimmed BigNum
+    # ``len(d) == ceil(bit_length / 32)``, so computing the counts from
     # ``int.bit_length`` keeps modeled cycles and instruction mixes
     # bit-identical between backends.
 
-    def _redc_int(self, t: int) -> int:
-        """Whole-operand REDC; charges match ``_reduce_interleaved``."""
+    def _redc_int(self, t: int, bill: Bill | None = None) -> int:
+        """Whole-operand REDC, ``(t + m*n) / R`` with
+        ``m = t * (-n^{-1}) mod R``: the value word-serial CIOS computes
+        (standard Montgomery equivalence), so results match
+        ``_reduce_interleaved``.  Charges ``bill``, whose last lines are
+        the REDC lines (default: only those)."""
         n = self.nwords
         m = ((t & self._r_mask) * self._ni_int) & self._r_mask
         r_val = (t + m * self._n_int) >> (n * WORD_BITS)
-        charge(K.MULADD_WORD, times=n * n, function="bn_mul_add_words",
-               stall=K.BN_STALL)
-        charge(FROM_MONT_WORD, times=n, function="BN_from_montgomery",
-               stall=K.BN_STALL)
-        charge(WRAPPER_CALL, function="BN_from_montgomery")
-        charge(K.SUB_WORD, times=n, function="bn_sub_words")
-        charge(K.KERNEL_CALL, function="bn_sub_words")
+        charge(bill or self._redc_bill)
         if r_val >= self._n_int:
             r_val -= self._n_int
         return r_val
@@ -204,36 +200,36 @@ class MontgomeryContext:
         """``a * b / R mod n`` on ints; charges match ``BigNum.mul`` + REDC."""
         na = (a_int.bit_length() + WORD_BITS - 1) // WORD_BITS
         nb = (b_int.bit_length() + WORD_BITS - 1) // WORD_BITS
-        if na and nb:
-            t = a_int * b_int
-            charge(K.MUL_WORD, times=na, function="bn_mul_words",
-                   stall=K.BN_STALL)
-            if nb > 1:
-                charge(K.MULADD_WORD, times=na * (nb - 1),
-                       function="bn_mul_add_words", stall=K.BN_STALL)
-            charge(K.KERNEL_CALL, times=nb, function="bn_mul_add_words")
-            charge(WRAPPER_CALL, function="BN_mul")
-        else:
-            t = 0
-        return self._redc_int(t)
+        bill = self._mul_bills.get((na, nb))
+        if bill is None:
+            lines: List[ChargeLine] = []
+            if na and nb:
+                lines.append((K.MUL_WORD, na, "bn_mul_words", LIB, STALL))
+                if nb > 1:
+                    lines.append((K.MULADD_WORD, na * (nb - 1),
+                                  "bn_mul_add_words", LIB, STALL))
+                lines += [(K.KERNEL_CALL, nb, "bn_mul_add_words", LIB, 1.0),
+                          (WRAPPER_CALL, 1.0, "BN_mul", LIB, 1.0)]
+            bill = self._mul_bills[na, nb] = Bill(lines + self._redc_lines)
+        return self._redc_int(a_int * b_int, bill)
 
     def mont_sqr_int(self, a_int: int) -> int:
         """Montgomery square on ints; charges match ``BigNum.sqr`` + REDC."""
         na = (a_int.bit_length() + WORD_BITS - 1) // WORD_BITS
-        if na:
-            t = a_int * a_int
-            cross = na * (na - 1) // 2
-            if cross:
-                charge(K.MULADD_WORD, times=cross,
-                       function="bn_mul_add_words", stall=K.BN_STALL)
-            charge(K.ADD_WORD, times=2 * na, function="bn_add_words")
-            charge(K.MUL_WORD, times=na, function="bn_sqr_words",
-                   stall=K.BN_STALL)
-            charge(K.KERNEL_CALL, times=na, function="bn_mul_add_words")
-            charge(WRAPPER_CALL, function="BN_sqr")
-        else:
-            t = 0
-        return self._redc_int(t)
+        bill = self._sqr_bills.get(na)
+        if bill is None:
+            lines: List[ChargeLine] = []
+            if na:
+                cross = na * (na - 1) // 2
+                if cross:
+                    lines.append((K.MULADD_WORD, cross, "bn_mul_add_words",
+                                  LIB, STALL))
+                lines += [(K.ADD_WORD, 2 * na, "bn_add_words", LIB, 1.0),
+                          (K.MUL_WORD, na, "bn_sqr_words", LIB, STALL),
+                          (K.KERNEL_CALL, na, "bn_mul_add_words", LIB, 1.0),
+                          (WRAPPER_CALL, 1.0, "BN_sqr", LIB, 1.0)]
+            bill = self._sqr_bills[na] = Bill(lines + self._redc_lines)
+        return self._redc_int(a_int * a_int, bill)
 
     def _mont_int(self, a: BigNum, b: BigNum | None) -> BigNum:
         """BigNum facade over the int fast path (one pack/unpack at the rim)."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..perf import charge, mix
+from ..perf import LIBCRYPTO, Bill, charge, mix
 from ..runtime import fastpath_enabled
 
 # ---------------------------------------------------------------------------
@@ -429,6 +429,14 @@ def _build_kernel(stages: int):
     return namespace["_kernel"]
 
 
+def _block_bill(function: str, rounds: int) -> Bill:
+    """The four lines a block operation charges, as one fast-path bill."""
+    return Bill([(DES_IP, 1.0, function, LIBCRYPTO, DES_STALL),
+                 (DES_ROUND, rounds, function, LIBCRYPTO, DES_STALL),
+                 (DES_FP, 1.0, function, LIBCRYPTO, DES_STALL),
+                 (DES_CALL, 1.0, function, LIBCRYPTO, 1.0)])
+
+
 class _DesBlockOp:
     """The block operation DES and TripleDES share: one IP/FP pair around
     ``rounds`` substitution rounds, charged as OpenSSL's ``function``."""
@@ -437,6 +445,7 @@ class _DesBlockOp:
     name: str
     rounds: int
     _function: str
+    _bill: Bill
 
     def _crypt_block(self, block: bytes, schedules: Sequence[Sequence[int]],
                      keys: Tuple[int, ...]) -> bytes:
@@ -444,8 +453,9 @@ class _DesBlockOp:
             raise ValueError(f"{self.name.upper()} block must be 8 bytes")
         if fastpath_enabled():
             out = self._kernel(block, keys)
-        else:
-            out = _crypt_reference(int.from_bytes(block, "big"), schedules)
+            charge(self._bill)
+            return out.to_bytes(8, "big")
+        out = _crypt_reference(int.from_bytes(block, "big"), schedules)
         function = self._function
         charge(DES_IP, function=function, stall=DES_STALL)
         charge(DES_ROUND, times=self.rounds, function=function,
@@ -462,6 +472,7 @@ class DES(_DesBlockOp):
     key_size = 8
     rounds = 16
     _function = "DES_encrypt"
+    _bill = _block_bill(_function, rounds)
     _kernel = staticmethod(_build_kernel(1))
 
     def __init__(self, key: bytes, check_weak: bool = False):
@@ -495,6 +506,7 @@ class TripleDES(_DesBlockOp):
     key_size = 24
     rounds = 48
     _function = "DES_encrypt3"
+    _bill = _block_bill(_function, rounds)
     _kernel = staticmethod(_build_kernel(3))
 
     def __init__(self, key: bytes):

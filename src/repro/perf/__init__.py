@@ -11,7 +11,7 @@ from .cpu import CpuModel, DEFAULT_COSTS, PENTIUM3, PENTIUM4, WIDE_CORE
 from .isa import CATEGORY, I, InstrMix, MixAccumulator, mix
 from .profiler import (
     HTTPD, LIBCRYPTO, LIBSSL, OTHER, VMLINUX,
-    FunctionStats, Profiler, RegionNode,
+    Bill, ChargeLine, DiscardProfiler, FunctionStats, Profiler, RegionNode,
     activate, charge, charge_cycles, current, region, reset_default,
 )
 from .report import format_table, kcycles, percent
@@ -28,7 +28,8 @@ __all__ = [
     "CpuModel", "PENTIUM3", "PENTIUM4", "WIDE_CORE", "DEFAULT_COSTS",
     "CATEGORY", "I", "InstrMix", "MixAccumulator", "mix",
     "HTTPD", "LIBCRYPTO", "LIBSSL", "OTHER", "VMLINUX",
-    "FunctionStats", "Profiler", "RegionNode",
+    "Bill", "ChargeLine", "DiscardProfiler", "FunctionStats", "Profiler",
+    "RegionNode",
     "activate", "charge", "charge_cycles", "current", "region",
     "reset_default",
     "format_table", "kcycles", "percent",

@@ -19,6 +19,13 @@ profiler.  Charges are attributed three ways at once:
 * to a flat **module** profile (``libcrypto``, ``libssl``, ``httpd``,
   ``vmlinux``, ``other``).
 
+Hot kernels charge the same short run of lines on every call (a Montgomery
+square charges ten, a DES block four).  A :class:`Bill` holds such a run,
+priced once per CPU model, and :meth:`Profiler.charge` applies a whole bill
+in one call with the float results the separate lines would give.  A
+:class:`DiscardProfiler` is the sink for a machine whose profile is thrown
+away (the simulated client): it drops every charge.
+
 A module-level *active profiler stack* lets deeply nested kernels charge
 without threading a profiler object through every call; see
 :func:`current`, :func:`activate` and the convenience wrappers
@@ -30,7 +37,9 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import reduce
+from operator import add
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .cpu import CpuModel, PENTIUM4
 from .isa import InstrMix, MixAccumulator
@@ -114,6 +123,57 @@ class RegionNode:
                 f"inclusive={self.inclusive_cycles():.0f})")
 
 
+#: One charge line: ``(mix, times, function, module, stall)``.
+ChargeLine = Tuple[InstrMix, float, str, str, float]
+
+
+class Bill:
+    """A fixed run of charge lines, applied by one :meth:`Profiler.charge`.
+
+    Each line is priced once per :class:`CpuModel` as
+    ``cpu.cycles(mix, stall) * times`` -- the product ``charge`` computes --
+    and its ``(mix, times)`` accumulator entry is built once and shared.
+    Lines are grouped by function and by module in first-appearance order,
+    and every accumulator folds its lines left to right, so the totals are
+    the ones the separate ``charge`` calls would reach, ulp for ulp.
+    """
+
+    __slots__ = ("lines", "_entries", "_instr", "_fn_index", "_mod_index",
+                 "_cpu", "_cycles", "_total", "_by_function", "_by_module")
+
+    def __init__(self, lines: Iterable[ChargeLine]):
+        self.lines = tuple(lines)
+        fn_index: Dict[str, List[int]] = {}
+        mod_index: Dict[str, List[int]] = {}
+        for i, (_, _, function, module, stall) in enumerate(self.lines):
+            if stall <= 0:
+                raise ValueError("stall_factor must be positive")
+            fn_index.setdefault(function, []).append(i)
+            mod_index.setdefault(module, []).append(i)
+        self._fn_index = tuple(fn_index.items())
+        self._mod_index = tuple(mod_index.items())
+        self._entries = tuple((m, times) for m, times, *_ in self.lines)
+        self._instr = tuple(m._total * times for m, times, *_ in self.lines)
+        self._cpu: Optional[CpuModel] = None
+
+    def _price(self, cpu: CpuModel) -> None:
+        """(Re)build the per-CPU cycle tables; a one-entry memo like
+        :class:`InstrMix`'s, keyed on the model's identity."""
+        lines, entries, instr = self.lines, self._entries, self._instr
+        cycles = tuple(cpu.cycles(m, stall) * times
+                       for m, times, _, _, stall in lines)
+        self._cycles = cycles
+        self._total = reduce(add, cycles, 0.0)
+        self._by_function = tuple(
+            (function, lines[idx[0]][3], tuple(cycles[i] for i in idx),
+             tuple(entries[i] for i in idx), tuple(instr[i] for i in idx))
+            for function, idx in self._fn_index)
+        self._by_module = tuple(
+            (module, tuple(cycles[i] for i in idx))
+            for module, idx in self._mod_index)
+        self._cpu = cpu
+
+
 class Profiler:
     """Accumulates cycles, instructions and attribution for one experiment."""
 
@@ -127,10 +187,18 @@ class Profiler:
         self._cycles = 0.0
 
     # -- charging -----------------------------------------------------------
-    def charge(self, m: InstrMix, times: float = 1.0, *,
+    def charge(self, m: InstrMix | Bill, times: float = 1.0, *,
                function: str = "<anon>", module: str = LIBCRYPTO,
                stall: float = 1.0) -> float:
         """Charge ``times`` executions of mix ``m`` and return the cycles.
+
+        ``m`` may instead be a :class:`Bill`: every line of it is charged,
+        in order, and the bill's total cycles are returned (``times`` and
+        the keywords are unused; each line carries its own).  Each
+        accumulator -- region, function, module, both mixes and the clock
+        -- receives the same float additions in the same order as the
+        separate calls would make, and ``FunctionStats.calls`` still
+        counts one call per line.
 
         This is the hottest non-kernel path in the model (one call per
         charged kernel invocation), so the mix's memoized per-CPU base cost
@@ -138,6 +206,50 @@ class Profiler:
         their order are exactly those of the out-of-line helpers, keeping
         accumulated totals bit-identical.
         """
+        if m.__class__ is Bill:
+            if m._cpu is not self.cpu:
+                m._price(self.cpu)
+            node = self._stack[-1]
+            x = node.exclusive_cycles
+            y = self._cycles
+            for c in m._cycles:
+                x += c
+                y += c
+            node.exclusive_cycles = x
+            self._cycles = y
+            fc = node.func_cycles
+            functions = self.functions
+            for function, module, cycles, entries, instr in m._by_function:
+                fs = functions.get(function)
+                if fs is None:
+                    fs = functions[function] = FunctionStats(function, module)
+                x = fc.get(function, 0)
+                y = fs.cycles
+                for c in cycles:
+                    x += c
+                    y += c
+                fc[function] = x
+                fs.cycles = y
+                fs.calls += len(cycles)
+                acc = fs.mix
+                acc._pending += entries
+                x = acc._pending_total
+                for c in instr:
+                    x += c
+                acc._pending_total = x
+            mc = self.modules
+            for module, cycles in m._by_module:
+                x = mc.get(module, 0)
+                for c in cycles:
+                    x += c
+                mc[module] = x
+            acc = self.global_mix
+            acc._pending += m._entries
+            x = acc._pending_total
+            for c in m._instr:
+                x += c
+            acc._pending_total = x
+            return m._total
         if m._cost_cpu is self.cpu:
             if stall <= 0:
                 raise ValueError("stall_factor must be positive")
@@ -249,6 +361,31 @@ class Profiler:
     def region_cycles(self, path: str) -> float:
         node = self.find_region(path)
         return node.inclusive_cycles() if node is not None else 0.0
+
+
+class DiscardProfiler(Profiler):
+    """A sink for a machine whose profile is thrown away.
+
+    The web-server simulator runs its client under one of these: the
+    paper measured only the server, so the client's charges are dropped
+    unpriced.  Regions still nest, so instrumented code runs unchanged.
+    Reading the clock raises, since a sink that dropped every charge has
+    no time to report.
+    """
+
+    def charge(self, m: InstrMix | Bill, times: float = 1.0, *,
+               function: str = "<anon>", module: str = LIBCRYPTO,
+               stall: float = 1.0) -> float:
+        return 0.0
+
+    def charge_cycles(self, cycles: float, *, function: str = "<modelled>",
+                      module: str = OTHER) -> float:
+        return 0.0
+
+    def now(self) -> float:
+        raise RuntimeError("a DiscardProfiler keeps no clock")
+
+    seconds = total_cycles = now
 
 
 # ---------------------------------------------------------------------------

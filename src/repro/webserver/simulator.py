@@ -4,8 +4,8 @@ Runs a stream of HTTPS transactions against a simulated Apache+Linux stack:
 the SSL processing is the real instrumented protocol implementation; the
 kernel/httpd/libc components are the calibrated cost models of
 :mod:`repro.webserver.costs`.  Measurements are taken on the *server* side
-(its profiler), exactly as in the paper; the client runs under a separate,
-discarded profiler.
+(its profiler), exactly as in the paper; the client runs under a
+:class:`~repro.perf.DiscardProfiler` that drops its charges.
 
 Regenerates the data behind Table 1 (module breakdown) and Figure 2
 (crypto-category split versus request size).
@@ -204,7 +204,7 @@ class _Transaction:
         self._nrequests = len(requests)
         self._server_prof = server_prof
         self._result = result
-        self._client_prof = perf.Profiler()  # client machine: discarded
+        self._client_prof = perf.DiscardProfiler()  # client machine
         self.phase = _Transaction.HANDSHAKE
         # Handshake latency starts at admission, before the kernel's
         # connection-setup charges: time already on this worker's clock
@@ -484,7 +484,7 @@ class WebServerSimulator:
                         server_prof: perf.Profiler,
                         result: SimulationResult,
                         tag: bytes = b"") -> None:
-        client_prof = perf.Profiler()  # client machine: separate, discarded
+        client_prof = perf.DiscardProfiler()  # client machine
         hs_start = server_prof.seconds()
         total_kb = sum(r.size_bytes for r in requests) / 1024.0
 

@@ -5,7 +5,8 @@ every kernel, running with ``REPRO_FASTPATH`` on or off must produce
 
 * bit-identical output bytes, and
 * a bit-identical charge stream -- total cycles, total instructions,
-  per-function cycles/call-counts/instruction mixes, per-module cycles.
+  per-function cycles/call-counts/instruction mixes, per-module cycles,
+  per-region cycles and the global instruction mix.
 
 Each check here runs the same seeded workload under both backends with a
 fresh profiler and compares full snapshots, so a fast-path branch that
@@ -35,13 +36,18 @@ from repro.ssl.loopback import make_server_identity, run_session
 
 
 def snapshot(profiler: perf.Profiler):
-    """Everything a backend could perturb, in comparable form."""
+    """Everything a backend could perturb, in comparable form: totals,
+    every function, every module, every region node (so a charge in the
+    wrong region fails) and the folded global mix."""
     return (
         profiler.total_cycles(),
         profiler.total_instructions(),
         {name: (fs.cycles, fs.calls, fs.module, fs.mix.snapshot().counts)
          for name, fs in profiler.functions.items()},
         dict(profiler.modules),
+        [(node.path(), node.exclusive_cycles, node.entries,
+          dict(node.func_cycles)) for node in profiler.root.walk()],
+        profiler.global_mix.snapshot().counts,
     )
 
 
@@ -116,6 +122,41 @@ def test_montgomery_equivalence(style):
         assert results[0] == a.to_int() * b.to_int() % n
         assert results[1] == a.to_int() ** 2 % n
         assert results[2] == 1
+
+
+@pytest.mark.parametrize("style", REDUCTION_STYLES)
+def test_montgomery_operand_shapes_equivalence(style):
+    """Every shape of fast-path bill: an operand shorter than the modulus,
+    a zero operand, a one-word operand (``nb == 1``, and a square with no
+    cross products), each inside a region, against the faithful path."""
+    rng = random.Random(0x5A9E)
+    modulus = rand_bn(rng, 8)
+    full = BigNum.from_int(rng.getrandbits(8 * 32) % modulus.to_int())
+    short = BigNum.from_int(rng.getrandbits(3 * 32) | 1)
+    word = BigNum.from_int(rng.getrandbits(32) | 1)
+    zero = BigNum.zero()
+    pairs = [(full, short), (short, full), (full, word), (word, full),
+             (full, zero), (zero, full), (zero, zero), (word, word)]
+
+    def workload():
+        ctx = MontgomeryContext(modulus, style)
+        out = []
+        with perf.region("shapes"):
+            for a, b in pairs:
+                with perf.region("mul"):
+                    out.append(ctx.mul(a, b).to_int())
+            for a in (full, short, word, zero):
+                with perf.region("sqr"):
+                    out.append(ctx.sqr(a).to_int())
+                out.append(ctx.from_mont(a).to_int())
+        return out
+
+    results = assert_equivalent(workload)
+    n, r_inv = modulus.to_int(), pow(1 << (8 * 32), -1, modulus.to_int())
+    expect = [a.to_int() * b.to_int() * r_inv % n for a, b in pairs]
+    for a in (full, short, word, zero):
+        expect += [a.to_int() ** 2 * r_inv % n, a.to_int() * r_inv % n]
+    assert results == expect
 
 
 @pytest.mark.parametrize("style", REDUCTION_STYLES)

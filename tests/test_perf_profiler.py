@@ -244,3 +244,118 @@ class TestAccountingInvariants:
                     with p.region(parts[1]):
                         p.charge(mix(movl=count), function=function,
                                  module=module)
+
+
+def full_state(p: Profiler) -> str:
+    """Every accumulator of ``p``, floats by ``repr`` (exact), in dict order.
+
+    Pending mix entries are read before the fold that ``snapshot`` does."""
+    def acc_state(acc):
+        pending = [(m.counts, repr(t)) for m, t in acc._pending]
+        return (pending, repr(acc.total()),
+                {k: repr(v) for k, v in acc.snapshot().counts.items()})
+    return repr((
+        repr(p._cycles),
+        [(n.path(), repr(n.exclusive_cycles), n.entries,
+          [(f, repr(c)) for f, c in n.func_cycles.items()])
+         for n in p.root.walk()],
+        [(name, fs.module, repr(fs.cycles), fs.calls, acc_state(fs.mix))
+         for name, fs in p.functions.items()],
+        [(name, repr(c)) for name, c in p.modules.items()],
+        acc_state(p.global_mix),
+    ))
+
+
+#: Awkward counts, times and stalls, so that regrouping any float sum
+#: would show in the last ulp.
+_A = mix(movl=3.3, mull=1, adcl=2.1)
+_B = mix(xorl=0.7, shrl=1.9)
+_C = mix(call=1, ret=1, pushl=0.3)
+#: ``f`` repeats inside the bill (as ``bn_mul_add_words`` does in a
+#: Montgomery bill), and once under another module than its first line.
+_LINES = [
+    (_A, 7, "f", perf.LIBCRYPTO, 1.05),
+    (_B, 0.1, "g", perf.LIBSSL, 1.0),
+    (_A, 13, "f", perf.LIBCRYPTO, 1.3),
+    (_C, 1.0, "h", perf.LIBCRYPTO, 1.0),
+    (_B, 2.7, "f", perf.OTHER, 1.39),
+]
+
+
+def _drive(p: Profiler, apply) -> None:
+    """Existing state, then ``apply`` at root and in nested regions."""
+    p.charge(_C, 0.3, function="h", module=perf.HTTPD)
+    p.charge_cycles(101.7, function="tcp", module=perf.VMLINUX)
+    with p.region("outer"):
+        apply(p)
+        with p.region("inner"):
+            apply(p)
+            apply(p)
+        apply(p)
+    apply(p)
+
+
+def _charge_lines(p: Profiler) -> None:
+    for m, times, function, module, stall in _LINES:
+        p.charge(m, times, function=function, module=module, stall=stall)
+
+
+class TestBill:
+    def test_bill_equals_its_lines_charged_one_by_one(self):
+        bill = perf.Bill(_LINES)
+        by_bill, by_line = Profiler(), Profiler()
+        _drive(by_bill, lambda p: p.charge(bill))
+        _drive(by_line, _charge_lines)
+        assert full_state(by_bill) == full_state(by_line)
+        # One call per line, not per bill: ``f`` has 3 lines, applied 5 times.
+        assert by_bill.functions["f"].calls == 3 * 5
+
+    def test_bill_returns_its_cycles(self):
+        p = Profiler()
+        assert p.charge(perf.Bill(_LINES)) == p.total_cycles() > 0
+
+    def test_bill_reprices_per_cpu(self):
+        bill = perf.Bill(_LINES)
+        profs = [(Profiler(cpu), Profiler(cpu))
+                 for cpu in (perf.PENTIUM4, perf.PENTIUM3)]
+        for _ in range(3):                  # alternate: every call reprices
+            for by_bill, by_line in profs:
+                _drive(by_bill, lambda p: p.charge(bill))
+                _drive(by_line, _charge_lines)
+        for by_bill, by_line in profs:
+            assert full_state(by_bill) == full_state(by_line)
+        (p4, _), (p3, _) = profs
+        assert p4.total_cycles() != p3.total_cycles()
+
+    @pytest.mark.parametrize("stall", [0.0, -1.0])
+    def test_non_positive_stall_rejected_when_built(self, stall):
+        with pytest.raises(ValueError):
+            perf.Bill(_LINES + [(_A, 1.0, "f", perf.LIBCRYPTO, stall)])
+
+    def test_pickled_bill_charges_the_same(self):
+        import pickle
+        bill = perf.Bill(_LINES)
+        Profiler().charge(bill)                     # priced before pickling
+        clone = pickle.loads(pickle.dumps(bill))
+        p, q = Profiler(), Profiler()
+        _drive(p, lambda prof: prof.charge(bill))
+        _drive(q, lambda prof: prof.charge(clone))
+        assert full_state(p) == full_state(q)
+
+
+class TestDiscardProfiler:
+    def test_charges_are_dropped(self):
+        p = perf.DiscardProfiler()
+        with perf.activate(p):
+            perf.charge(_A, 3, function="f")
+            perf.charge(perf.Bill(_LINES))
+            perf.charge_cycles(99.0, function="tcp")
+            with perf.region("step"):
+                perf.charge(_B, function="g")
+        assert p.functions == {} and not p.modules
+        assert p.global_mix.total() == 0.0
+
+    @pytest.mark.parametrize("reader", ["now", "seconds", "total_cycles"])
+    def test_clock_readers_raise(self, reader):
+        with pytest.raises(RuntimeError):
+            getattr(perf.DiscardProfiler(), reader)()
