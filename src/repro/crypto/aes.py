@@ -356,3 +356,8 @@ class AES:
         charge(AES_FINAL, function="AES_decrypt", stall=AES_STALL)
         charge(AES_CALL, function="AES_decrypt")
         return b"".join(t.to_bytes(4, "big") for t in (t0, t1, t2, t3))
+
+    def decrypt_blocks(self, data: bytes) -> bytes:
+        """Decrypt every 16-byte block of ``data`` on its own (ECB)."""
+        return b"".join(self.decrypt_block(data[i:i + 16])
+                        for i in range(0, len(data), 16))

@@ -5,6 +5,15 @@ popular modes", Section 2), where each plaintext block is XORed with the
 previous ciphertext block -- deliberately serializing the blocks of a
 message -- and RC4 as a stream cipher.  :class:`CBC` keeps the running IV
 across calls because SSLv3 chains the IV from record to record.
+
+Only encryption is serial: each ciphertext block feeds the next block's
+input.  Decryption is parallel, since plaintext block ``i`` is
+``D(C_i) ^ C_(i-1)`` and every ciphertext block is already at hand.  The
+fast path therefore decrypts a whole buffer with one
+:meth:`BlockCipher.decrypt_blocks` call and one XOR against the buffer
+shifted by a block (DES and 3DES bitslice it; see ``repro.crypto.des``).
+The charges are the same either way: one block operation per block, in
+order, then the per-block and per-call mode overhead.
 """
 
 from __future__ import annotations
@@ -24,6 +33,11 @@ class BlockCipher(Protocol):
     def encrypt_block(self, block: bytes) -> bytes: ...
 
     def decrypt_block(self, block: bytes) -> bytes: ...
+
+    def decrypt_blocks(self, data: bytes) -> bytes:
+        """Decrypt each block of ``data`` on its own, charging as
+        :meth:`decrypt_block` would block by block."""
+        ...
 
 
 #: Per-block CBC overhead: load previous ciphertext, XOR four words (or two
@@ -83,16 +97,15 @@ class CBC:
             raise ValueError("CBC input must be a whole number of blocks")
         out = bytearray()
         prev = self._iv
-        dec = self.cipher.decrypt_block
         if fastpath_enabled():
-            from_bytes = int.from_bytes
-            for i in range(0, len(data), bs):
-                ct = data[i:i + bs]
-                plain = dec(ct)
-                out += (from_bytes(plain, "big")
-                        ^ from_bytes(prev, "big")).to_bytes(bs, "big")
-                prev = ct
+            if data:
+                plain = self.cipher.decrypt_blocks(data)
+                out = (int.from_bytes(plain, "big")
+                       ^ int.from_bytes(prev + data[:-bs], "big")
+                       ).to_bytes(len(data), "big")
+                prev = data[-bs:]
         else:
+            dec = self.cipher.decrypt_block
             for i in range(0, len(data), bs):
                 ct = data[i:i + bs]
                 plain = dec(ct)

@@ -240,7 +240,7 @@ class OffloadPool:
         On success the dispatch mix is charged to the live profiler (in
         an ``engine_offload`` region), the chosen cipher+hash units'
         timelines advance, and the caller must run the real crypto under
-        a scratch profiler.  On refusal nothing is charged and the
+        a discard profiler.  On refusal nothing is charged and the
         caller takes the ordinary software path.
         """
         if data_bytes < self.config.min_record_bytes:
@@ -279,7 +279,7 @@ class OffloadPool:
     def rsa_decrypt(self, key, ciphertext: bytes) -> bytes:
         """Private-key decrypt through the modexp unit, if one is free.
 
-        The real decrypt still runs (under a scratch profiler) so the
+        The real decrypt still runs (under a discard profiler) so the
         pre-master bytes, blinding RNG advance and padding-failure
         behaviour are identical to software; only the modeled cost moves
         to the engine.  Saturated or absent modexp units fall back to
@@ -308,7 +308,7 @@ class OffloadPool:
             self.latency_cycles += done - now
             self.ops += 1
             self.modexp_ops += 1
-        with perf.activate(perf.Profiler()):
+        with perf.activate(perf.DiscardProfiler()):
             return key.decrypt(ciphertext)
 
     # -- reporting ----------------------------------------------------------

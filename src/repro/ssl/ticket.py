@@ -107,9 +107,9 @@ class TicketKeyRing:
         self.rotation_interval = float(rotation_interval)
         self.accept_window = int(accept_window)
         # The public key-name label is configuration, not modeled work:
-        # derive it under a scratch profiler so ring construction charges
+        # derive it under a discard profiler so ring construction charges
         # nothing to whatever profiler happens to be active.
-        with perf.activate(perf.Profiler()):
+        with perf.activate(perf.DiscardProfiler()):
             self._label = MD5(b"ticket-ring:" + self.seed).digest()[:8]
 
     # -- epochs ------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""The fast DES kernel's tables and key split, rebuilt the slow way.
+"""The fast DES kernels' tables, circuits and layouts, rebuilt the slow way.
 
-The fast backend holds each half spread (rotated right by one, low 12 bits
-copied into bits 32-43), folds E into split subkeys and looks up four
-two-S-box pair tables.  These tests rebuild each piece from the FIPS-derived
-``_SP`` and ``_E_T`` tables independently of the code that generates it.
+The per-block fast backend holds each half spread (rotated right by one,
+low 12 bits copied into bits 32-43), folds E into split subkeys and looks
+up four two-S-box pair tables.  The bitsliced backend holds bit ``b`` of
+every block in one plane, runs S-box circuits derived from ``_SBOXES`` and
+moves blocks in and out of planes with a 64x64 bit transpose per lane.
+These tests check each piece against the FIPS-derived tables
+independently of the code that generates it.
 """
 
 from __future__ import annotations
@@ -63,3 +66,69 @@ def test_spread_half_exposes_every_e_window():
         spread = des._spread(r)
         for j in range(8):
             assert (spread >> at[j]) & 0x3F == (e >> (42 - 6 * j)) & 0x3F
+
+
+@pytest.mark.parametrize("i", range(8))
+def test_sbox_circuit_matches_table(i):
+    """Each derived circuit, run on plain 0/1 ints, is S-box ``i + 1`` on
+    all 64 inputs."""
+    sbox = des._SBOXES[i]
+    gates, outputs = des._sbox_circuit(sbox)
+    for x in range(64):
+        value = {f"x{v}": x >> v & 1 for v in range(6)}
+        value.update({f"n{v}": 1 - (x >> v & 1) for v in range(6)})
+        for dst, a, op, b in gates:
+            value[dst] = {"&": value[a] & value[b], "|": value[a] | value[b],
+                          "^": value[a] ^ value[b]}[op]
+        got = sum((value[name] ^ inverted) << (3 - o)
+                  for o, (name, inverted) in enumerate(outputs))
+        row, col = (x >> 4) & 2 | x & 1, (x >> 1) & 0xF
+        assert got == sbox[row][col], (i, x)
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_transpose_is_its_own_inverse(lanes):
+    rng = random.Random(0x7A + lanes)
+    rows = [rng.getrandbits(64 * lanes) for _ in range(64)]
+    once = des._transpose(list(rows), lanes)
+    assert once != rows
+    for g in range(lanes):
+        for i in range(64):
+            for p in range(0, 64, 7):
+                at = 64 * g
+                assert once[p] >> (at + i) & 1 == rows[i] >> (at + p) & 1
+    assert des._transpose(once, lanes) == rows
+
+
+def test_planes_hold_fips_bits_by_block():
+    """Plane ``b``, bit ``k`` is FIPS bit ``b + 1`` of block ``k``, and the
+    blocks come back out of the planes unchanged."""
+    rng = random.Random(0x91A)
+    nblocks, lanes = 130, 3
+    data = rng.randbytes(8 * nblocks)
+    planes = des._to_planes(data, lanes)
+    for k in range(nblocks):
+        block = int.from_bytes(data[8 * k:8 * k + 8], "big")
+        for b in range(64):
+            assert planes[b] >> k & 1 == block >> (63 - b) & 1
+    # The padding blocks are zero.
+    assert all(plane >> nblocks == 0 for plane in planes)
+    assert des._from_planes(planes, lanes, len(data)) == data
+
+
+def test_slice_round_matches_feistel():
+    """One bitsliced round, on 64 blocks, is ``l ^ f(r, k)`` per block."""
+    rng = random.Random(0xF15)
+    subkey = des._key_schedule(rng.randbytes(8))[5]
+    halves = [(rng.getrandbits(32), rng.getrandbits(32)) for _ in range(64)]
+
+    def planes(values):
+        return tuple(sum((v >> (31 - j) & 1) << k for k, v in enumerate(values))
+                     for j in range(32))
+
+    masks = des._slice_masks([[subkey]], 1)[0][0]
+    out = des._slice_round(planes([left for left, _ in halves]),
+                           planes([right for _, right in halves]),
+                           masks, des._T64)
+    assert out == planes([left ^ des._feistel(right, subkey)
+                          for left, right in halves])

@@ -24,7 +24,7 @@ from repro import perf, runtime
 from repro.bignum.bn import BigNum
 from repro.bignum.modexp import mod_exp
 from repro.bignum.montgomery import REDUCTION_STYLES, MontgomeryContext
-from repro.crypto import rsa
+from repro.crypto import des, rsa
 from repro.crypto.aes import AES
 from repro.crypto.des import DES, SEMI_WEAK_KEYS, WEAK_KEYS, TripleDES
 from repro.crypto.mac import Ssl3MacContext, TlsMacContext, ssl3_mac, tls_mac
@@ -230,6 +230,20 @@ def test_block_cipher_equivalence():
             assert pt == block and ct != block
 
 
+def cbc_decrypt_cases(rng: random.Random):
+    """(cipher class, key) pairs for the whole-buffer CBC decrypt check:
+    a weak, a semi-weak and a random DES key; a two-key 3DES key, one
+    built from a semi-weak pair and a random one."""
+    def rand_key(n: int = 8):
+        return bytes(rng.randrange(256) for _ in range(n))
+
+    k1, k2 = rand_key(), rand_key()
+    return [(DES, WEAK_KEYS[2]), (DES, SEMI_WEAK_KEYS[4]), (DES, rand_key()),
+            (TripleDES, k1 + k2 + k1),
+            (TripleDES, SEMI_WEAK_KEYS[0] + SEMI_WEAK_KEYS[1] + rand_key()),
+            (TripleDES, rand_key(24))]
+
+
 def test_cbc_mode_equivalence():
     rng = random.Random(0xCBC)
     for cls, key_len in ((AES, 16), (TripleDES, 24)):
@@ -245,6 +259,24 @@ def test_cbc_mode_equivalence():
 
         ct, pt = assert_equivalent(workload)
         assert pt == data
+
+    # Whole-buffer decryption on both sides of the bitsliced kernel's
+    # threshold, one CBC context per key so the IV chains across buffers.
+    x = des._BITSLICE_MIN_BLOCKS
+    counts = sorted({1, 63, 64, 65, x - 1, x, x + 1, 2051})
+    cases = cbc_decrypt_cases(rng) + [(AES, bytes(range(16)))]
+    for cls, key in cases:
+        iv = bytes(rng.randrange(256) for _ in range(cls.block_size))
+        buffers = [rng.randbytes(cls.block_size * n)
+                   for n in (counts if cls is not AES else (1, 2, 65))]
+
+        def workload():
+            cbc = CBC(cls(key), iv)
+            return [cbc.decrypt(b) for b in buffers], cbc.iv
+
+        plains, last_iv = assert_equivalent(workload)
+        assert last_iv == buffers[-1][-cls.block_size:]
+        assert [len(p) for p in plains] == [len(b) for b in buffers]
 
 
 def test_rc4_equivalence():
