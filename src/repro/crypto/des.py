@@ -33,8 +33,8 @@ bitsliced DES (FSE 1997) on the whole buffer.  A 64x64 bit transpose per
 holding that bit of every block; IP, E, P, FP and the Feistel swaps
 become renamings of planes; the key becomes all-ones or zero masks; and
 each S-box becomes a boolean circuit derived from its table at import
-(:func:`_sbox_circuit`).  A round is about 700 whole-buffer gates, which
-costs about as much for 2,000 blocks as for 80.  Every backend charges
+(:func:`_sbox_circuit`).  A round is about 1,040 whole-buffer gates,
+which cost about as much for 2,000 blocks as for 96.  Every backend charges
 the same lines per block, so the modeled cycles do not move.
 """
 
@@ -460,11 +460,6 @@ _T64 = (1 << 64) - 1
 _LITERALS = tuple(sum(1 << x for x in range(64) if x >> v & 1)
                   for v in range(6))
 
-#: The order in which :func:`_sbox_circuit` splits on input bits.  Every
-#: order yields a correct circuit; of all 720, this one gives the eight
-#: S-boxes the fewest gates (587, plus 39 complemented inputs).
-_SPLIT_ORDER = (0, 1, 4, 3, 2, 5)
-
 
 def _sbox_truth_tables(sbox: Sequence[Sequence[int]]) -> List[int]:
     """The four output bits of ``sbox`` (first = most significant) as
@@ -480,90 +475,35 @@ def _sbox_truth_tables(sbox: Sequence[Sequence[int]]) -> List[int]:
 def _sbox_circuit(sbox: Sequence[Sequence[int]]):
     """Derive a boolean circuit for ``sbox`` from its table.
 
-    Returns ``(gates, outputs)``.  Each gate is ``(dst, a, op, b)`` with
-    ``op`` one of ``&``, ``|``, ``^``; names ``x0``..``x5`` are the input
-    bits (``x5`` first in the E window), ``n0``..``n5`` their complements
-    and ``t<i>`` gate outputs.  ``outputs`` holds, for each output bit
-    (first = most significant), ``(name, inverted)``: the gate holding it,
-    and whether that gate holds its complement instead.
-
-    Every output is split on an input bit ``s`` into cofactors ``f0``
-    (``s`` = 0) and ``f1`` (``s`` = 1) with difference ``d = f0 ^ f1``::
-
-        f = f0 ^ (s & d) = f1 ^ (~s & d)
-
-    ``d`` is built either as a node of its own (the Davio expansion, two
-    gates) or as ``f0 ^ f1`` from both cofactors (Shannon, three gates),
-    whichever costs less, recursively; a constant cofactor or difference
-    drops gates.  Nodes are shared by truth table up to complement: a gate
-    may hold the complement of its function, so ``s & d`` is spelled
-    ``~(~s | ~d)`` when the gate holds ``~d``, and no NOT is ever needed.
+    Returns ``(gates, outputs)``: each gate is ``(dst, a, op, b)`` with
+    ``op`` ``&`` or ``^``; names ``x0``..``x5`` are the input bits (``x5``
+    first in the E window), ``ones`` the constant 1 and ``t<i>`` gate
+    outputs; ``outputs`` names the node of each output bit, first = most
+    significant.  Each function is split on its lowest input bit ``s`` it
+    depends on, into cofactors ``f0`` and ``f1`` (the Davio expansion
+    ``f = f0 ^ (s & (f0 ^ f1))``), recursively; nodes with the same truth
+    table are shared.
     """
-    def canon(t: int) -> int:
-        return t ^ _T64 if t & 1 else t
-
-    def split(t: int) -> Tuple[int, int, int]:
-        for v in _SPLIT_ORDER:
-            lo, hi = t & (_T64 ^ _LITERALS[v]), t & _LITERALS[v]
-            f0, f1 = lo | lo << (1 << v), hi | hi >> (1 << v)
-            if f0 != f1:
-                return v, f0, f1
-        raise ValueError("constant function")
-
-    free = {0} | {canon(t) for t in _LITERALS}
-    plans = {}
-
-    def cost(t: int) -> int:
-        c = canon(t)
-        if c in free:
-            return 0
-        if c not in plans:
-            v, f0, f1 = split(c)
-            d = f0 ^ f1
-            options = []
-            for base, other in ((f1, f0), (f0, f1)):
-                keep = 0 if canon(base) == 0 else 1 + cost(base)
-                if d == _T64:
-                    options.append((keep, base, other, False))
-                    continue
-                options.append((keep + 1 + cost(d), base, other, False))
-                options.append((keep + 2 + cost(other), base, other, True))
-            plans[c] = min(options, key=lambda o: o[0])
-        return plans[c][0]
-
     gates: List[Tuple[str, str, str, str]] = []
-    held = {f"x{v}": t for v, t in enumerate(_LITERALS)}
-    held.update({f"n{v}": t ^ _T64 for v, t in enumerate(_LITERALS)})
-    nodes = {canon(t): f"x{v}" for v, t in enumerate(_LITERALS)}
+    nodes = {_T64: "ones"}
+    nodes.update({t: f"x{v}" for v, t in enumerate(_LITERALS)})
 
     def gate(a: str, op: str, b: str) -> str:
-        ta, tb = held[a], held[b]
-        dst = f"t{len(gates)}"
-        held[dst] = ta & tb if op == "&" else ta | tb if op == "|" else ta ^ tb
-        gates.append((dst, a, op, b))
-        return dst
+        gates.append((f"t{len(gates)}", a, op, b))
+        return gates[-1][0]
 
     def node(t: int) -> str:
-        c = canon(t)
-        if c not in nodes:
-            _, base, other, shannon = plans[c]
-            v, f0, f1 = split(c)
-            d = f0 ^ f1
-            if d == _T64:
-                m = f"x{v}"
-            else:
-                nd = gate(node(base), "^", node(other)) if shannon else node(d)
-                exact = held[nd] == d
-                lit = ("x" if (base == f0) == exact else "n") + str(v)
-                m = gate(lit, "&" if exact else "|", nd)
-            nodes[c] = m if canon(base) == 0 else gate(node(base), "^", m)
-        return nodes[c]
+        if t not in nodes:
+            for v, lit in enumerate(_LITERALS):
+                lo, hi = t & (_T64 ^ lit), t & lit
+                f0, f1 = lo | lo << (1 << v), hi | hi >> (1 << v)
+                if f0 != f1:
+                    break
+            m = gate(f"x{v}", "&", node(f0 ^ f1))
+            nodes[t] = m if f0 == 0 else gate(node(f0), "^", m)
+        return nodes[t]
 
-    outputs = []
-    for t in _sbox_truth_tables(sbox):
-        cost(t)
-        name = node(t)
-        outputs.append((name, held[name] != t))
+    outputs = [node(t) for t in _sbox_truth_tables(sbox)]
     return gates, outputs
 
 
@@ -571,12 +511,10 @@ def _build_slice_round():
     """Generate one bitsliced Feistel round.
 
     ``round(l, r, k, ones)`` takes the 32 planes of each half (index ``j``
-    is FIPS bit ``j + 1`` of the half), the round's 96 key masks and the
+    is FIPS bit ``j + 1`` of the half), the round's 48 key masks and the
     all-ones plane, and returns the new right half ``l ^ P(S(E(r) ^ K))``.
     Key mask ``m`` is ``ones`` where E bit ``m + 1`` of the subkey is set
-    and 0 where it is clear; mask ``48 + m`` is its complement, feeding the
-    circuits' complemented inputs.  E and P are renamings of planes, and an
-    output a circuit holds complemented is flipped back with ``ones``.
+    and 0 where it is clear.  E and P are renamings of planes.
     """
     lines = ["def _round(l, r, k, ones):",
              "    " + ", ".join(f"l{j}" for j in range(32)) + " = l",
@@ -584,17 +522,16 @@ def _build_slice_round():
     sbox_out = {}
     for i, sbox in enumerate(_SBOXES):
         gates, outputs = _sbox_circuit(sbox)
-        used = {name for g in gates for name in (g[1], g[3])}
-        for v in range(6):
-            m = 6 * i + 5 - v            # the E bit feeding input bit v
-            for lit, offset in (("x", 0), ("n", 48)):
-                if f"{lit}{v}" in used:
-                    lines.append(f"    s{i}{lit}{v} = r{_E[m] - 1}"
-                                 f" ^ k[{m + offset}]")
-        lines += [f"    s{i}{dst} = s{i}{a} {op} s{i}{b}"
+        lines += [f"    s{i}x{v} = r{_E[m] - 1} ^ k[{m}]"
+                  for v in range(6) for m in [6 * i + 5 - v]]
+
+        def ref(name: str) -> str:
+            return name if name == "ones" else f"s{i}{name}"
+
+        lines += [f"    s{i}{dst} = {ref(a)} {op} {ref(b)}"
                   for dst, a, op, b in gates]
-        for o, (name, inverted) in enumerate(outputs):
-            sbox_out[4 * i + o + 1] = f"s{i}{name}" + (" ^ ones" * inverted)
+        for o, name in enumerate(outputs):
+            sbox_out[4 * i + o + 1] = f"s{i}{name}"
     lines.append("    return (" + ", ".join(
         f"l{j} ^ {sbox_out[src]}" for j, src in enumerate(_P)) + ")")
     namespace: dict = {}
@@ -655,39 +592,30 @@ def _from_planes(planes: Sequence[int], lanes: int, nbytes: int) -> bytes:
     return bytes(out[:nbytes])
 
 
-def _bitslice_crypt(data: bytes, key_masks, lanes: int) -> bytes:
-    """Run every block of ``data`` through the stages of ``key_masks``
-    (per stage, per round, the 96 masks of :func:`_build_slice_round`).
+def _slice_key(subkey: int, ones: int) -> Tuple[int, ...]:
+    """The 48 key masks of :func:`_build_slice_round` for ``subkey``."""
+    return tuple(ones if subkey >> (47 - m) & 1 else 0 for m in range(48))
+
+
+def _bitslice_crypt(data: bytes, schedules: Sequence[Sequence[int]]) -> bytes:
+    """Run every block of ``data`` through ``schedules`` (one 16-subkey
+    list per stage).
 
     IP, 16 rounds per stage, FP, as :func:`_crypt_reference`: each stage
     ends with DES's final swap, and all of it renames planes.
     """
+    lanes = -(-len(data) // 512)
     ones = (1 << 64 * lanes) - 1
     planes = _to_planes(data, lanes)
     left = tuple(planes[src - 1] for src in _IP[:32])
     right = tuple(planes[src - 1] for src in _IP[32:])
-    for stage in key_masks:
-        for k in stage:
-            left, right = right, _slice_round(left, right, k, ones)
+    for subkeys in schedules:
+        for k in subkeys:
+            left, right = right, _slice_round(left, right,
+                                              _slice_key(k, ones), ones)
         left, right = right, left
     halves = left + right
     return _from_planes([halves[src - 1] for src in _FP], lanes, len(data))
-
-
-def _slice_masks(schedules: Sequence[Sequence[int]], lanes: int):
-    """The bitsliced kernel's key masks for ``schedules`` at ``lanes``
-    lanes: per stage, per round, the 96 masks of :func:`_build_slice_round`.
-    """
-    ones = (1 << 64 * lanes) - 1
-    masks = []
-    for subkeys in schedules:
-        stage = []
-        for k in subkeys:
-            bits = [k >> (47 - m) & 1 for m in range(48)]
-            stage.append(tuple(ones if b else 0 for b in bits)
-                         + tuple(0 if b else ones for b in bits))
-        masks.append(stage)
-    return masks
 
 
 #: Block count from which :meth:`_DesBlockOp.decrypt_blocks` runs the
@@ -695,9 +623,9 @@ def _slice_masks(schedules: Sequence[Sequence[int]], lanes: int):
 #: blocks, the interpreter's per-gate overhead dwarfing the width of the
 #: ints; the pair-table kernel's grows with every block.  Measured on
 #: CPython 3.11 (2-vCPU x86-64), median us a block, bitsliced against
-#: pair-table: 3DES 42 vs 36 at 72 blocks, 37 vs 44 at 80, 1.9 vs 38 at
-#: 2,048; single DES 19 vs 18 at 72, 16 vs 18 at 80.
-_BITSLICE_MIN_BLOCKS = 80
+#: pair-table: 3DES 59 vs 50 at 72 blocks, 47 vs 51 at 88, 46 vs 51 at
+#: 96, 3.0 vs 47 at 2,048; single DES 18 vs 19 at 88, 18 vs 20 at 96.
+_BITSLICE_MIN_BLOCKS = 96
 
 
 def _block_bill(function: str, rounds: int) -> Bill:
@@ -729,7 +657,6 @@ class _DesBlockOp:
         split = {k: _split_subkey(k) for stage in enc for k in stage}
         self._enc_fast = _flat_keys(*([split[k] for k in s] for s in enc))
         self._dec_fast = _flat_keys(*([split[k] for k in s] for s in dec))
-        self._slice_keys: dict = {}   # lane count -> _slice_masks(dec)
 
     def _crypt_block(self, block: bytes, schedules: Sequence[Sequence[int]],
                      keys: Tuple[int, ...]) -> bytes:
@@ -757,25 +684,20 @@ class _DesBlockOp:
     def decrypt_blocks(self, data: bytes) -> bytes:
         """Decrypt every 8-byte block of ``data`` on its own (ECB).
 
-        Below :data:`_BITSLICE_MIN_BLOCKS` blocks this is
-        :meth:`decrypt_block` block by block.  From there up it is a
-        fast-path operation (:class:`~repro.crypto.modes.CBC` calls it only
-        with the fast path on): the bitsliced kernel decrypts every block
-        at once, then the block bill is charged once per block, exactly
-        what :meth:`decrypt_block` charges block by block.
+        With the fast path off, or below :data:`_BITSLICE_MIN_BLOCKS`
+        blocks, this is :meth:`decrypt_block` block by block.  Otherwise the
+        bitsliced kernel decrypts every block at once, then the block bill
+        is charged once per block, exactly what :meth:`decrypt_block`
+        charges block by block.
         """
         nblocks, rest = divmod(len(data), 8)
         if rest:
             raise ValueError(
                 f"{self.name.upper()} input must be a whole number of blocks")
-        if nblocks < _BITSLICE_MIN_BLOCKS:
+        if nblocks < _BITSLICE_MIN_BLOCKS or not fastpath_enabled():
             return b"".join(self.decrypt_block(data[i:i + 8])
                             for i in range(0, len(data), 8))
-        lanes = -(-nblocks // 64)
-        masks = self._slice_keys.get(lanes)
-        if masks is None:
-            masks = self._slice_keys[lanes] = _slice_masks(self._dec, lanes)
-        out = _bitslice_crypt(data, masks, lanes)
+        out = _bitslice_crypt(data, self._dec)
         bill, charge_bill = self._bill, current().charge
         for _ in range(nblocks):
             charge_bill(bill)
@@ -798,6 +720,7 @@ class DES(_DesBlockOp):
         if check_weak and is_weak_key(key):
             raise ValueError("weak or semi-weak DES key rejected")
         subkeys = _key_schedule(key)
+        self._enc_keys = subkeys
         self._set_schedules((subkeys,), (subkeys[::-1],))
         charge(DES_KS_SETUP, function="DES_set_key")
         charge(DES_KS_ROUND, times=16, function="DES_set_key")

@@ -64,7 +64,7 @@ def main() -> None:
     enc, dec = cbc_3des_seconds()
     print(f"3des-cbc 16 KB: encrypt {enc * 1e3:.1f} ms, "
           f"decrypt {dec * 1e3:.1f} ms ({enc / dec:.1f}x)")
-    # ~11x on a 2-vCPU dev box: decryption is bitsliced over the buffer.
+    # ~9x on a 2-vCPU dev box: decryption is bitsliced over the buffer.
     assert enc / dec >= 3, (
         f"whole-buffer decryption no longer fast: {enc / dec:.2f}x")
 

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro import runtime
 from repro.crypto import des
 
 M32 = 0xFFFFFFFF
@@ -76,12 +77,11 @@ def test_sbox_circuit_matches_table(i):
     gates, outputs = des._sbox_circuit(sbox)
     for x in range(64):
         value = {f"x{v}": x >> v & 1 for v in range(6)}
-        value.update({f"n{v}": 1 - (x >> v & 1) for v in range(6)})
+        value["ones"] = 1
         for dst, a, op, b in gates:
-            value[dst] = {"&": value[a] & value[b], "|": value[a] | value[b],
+            value[dst] = {"&": value[a] & value[b],
                           "^": value[a] ^ value[b]}[op]
-        got = sum((value[name] ^ inverted) << (3 - o)
-                  for o, (name, inverted) in enumerate(outputs))
+        got = sum(value[name] << (3 - o) for o, name in enumerate(outputs))
         row, col = (x >> 4) & 2 | x & 1, (x >> 1) & 0xF
         assert got == sbox[row][col], (i, x)
 
@@ -126,9 +126,25 @@ def test_slice_round_matches_feistel():
         return tuple(sum((v >> (31 - j) & 1) << k for k, v in enumerate(values))
                      for j in range(32))
 
-    masks = des._slice_masks([[subkey]], 1)[0][0]
+    masks = des._slice_key(subkey, des._T64)
     out = des._slice_round(planes([left for left, _ in halves]),
                            planes([right for _, right in halves]),
                            masks, des._T64)
     assert out == planes([left ^ des._feistel(right, subkey)
                           for left, right in halves])
+
+
+def test_decrypt_blocks_without_fastpath_is_the_reference_loop(monkeypatch):
+    """With the fast path off, ``decrypt_blocks`` never reaches the
+    bitsliced kernel, however many blocks it is given."""
+    cipher = des.TripleDES(bytes(range(24)))
+    data = random.Random(0xDB).randbytes(8 * (des._BITSLICE_MIN_BLOCKS + 1))
+    expect = b"".join(cipher.decrypt_block(data[i:i + 8])
+                      for i in range(0, len(data), 8))
+
+    def no_bitslice(*args):
+        raise AssertionError("bitsliced kernel ran with the fast path off")
+
+    monkeypatch.setattr(des, "_bitslice_crypt", no_bitslice)
+    with runtime.fastpath(False):
+        assert cipher.decrypt_blocks(data) == expect
